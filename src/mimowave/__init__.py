@@ -8,6 +8,7 @@ for a perfectly known target.
 """
 
 from .errors import (
+    AscentError,
     ConfigError,
     InsufficientTrialsError,
     NoConvergenceError,
@@ -37,6 +38,7 @@ from .model import (
 )
 from .detection import (
     DetectorSpec,
+    Expansion,
     build_detector,
     calibrate_threshold,
     detection_probability,
@@ -59,8 +61,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
+    "AscentError",
     "ConfigError",
     "DetectorSpec",
+    "Expansion",
     "InsufficientTrialsError",
     "MMConfig",
     "MMIterate",

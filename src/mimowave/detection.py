@@ -34,6 +34,14 @@ def _n_rx(x: np.ndarray, prior: TargetPrior) -> int:
     return n_rx
 
 
+def _covariance(lift: np.ndarray, prior: TargetPrior,
+                noise_power: float) -> np.ndarray:
+    cov = lift @ prior.r_h @ lift.conj().T
+    cov = (cov + cov.conj().T) / 2.0
+    cov += noise_power * np.eye(cov.shape[0])
+    return cov
+
+
 def received_covariance(x, prior: TargetPrior, noise_power: float) -> np.ndarray:
     """Covariance of the snapshot when the target obeys the prior.
 
@@ -41,10 +49,40 @@ def received_covariance(x, prior: TargetPrior, noise_power: float) -> np.ndarray
     """
     x = np.asarray(x, dtype=complex)
     lift = lift_waveform(x, _n_rx(x, prior))
-    cov = lift @ prior.r_h @ lift.conj().T
-    cov = (cov + cov.conj().T) / 2.0
-    cov += noise_power * np.eye(cov.shape[0])
-    return cov
+    return _covariance(lift, prior, noise_power)
+
+
+class Expansion:
+    """The snapshot law at one design, factored once.
+
+    Holds the lift I ⊗ X, the single Cholesky factor of the target-present
+    covariance R1, R1^{-1}, the mean shift mu = (I ⊗ X) h_d and
+    R1^{-1} mu. The objective, its three X-dependent
+    terms, the three quadratic lower bounds and the detector all read
+    from here, so each design is factored exactly once.
+    """
+
+    def __init__(self, x, prior: TargetPrior, sigma2: float):
+        x = np.asarray(x, dtype=complex)
+        self.x, self.prior, self.sigma2 = x, prior, sigma2
+        self.lift = lift_waveform(x, _n_rx(x, prior))
+        self.factor = hpd_factor(_covariance(self.lift, prior, sigma2))
+        self.dim = self.lift.shape[0]
+        self.inv = self.factor.solve(np.eye(self.dim))
+        self.shift = self.lift @ prior.h_d
+        self.whitened_shift = self.factor.solve(self.shift)
+
+    def terms(self):
+        """(log det R1, mu^* R1^{-1} mu, tr(R1^{-1}))."""
+        quad = float(np.real(np.vdot(self.shift, self.whitened_shift)))
+        trace = float(np.real(np.trace(self.inv)))
+        return self.factor.log_det(), quad, trace
+
+    @property
+    def objective(self) -> float:
+        log_det, quad, trace = self.terms()
+        return (log_det + quad + self.sigma2 * trace
+                - self.dim * (1.0 + np.log(self.sigma2)))
 
 
 def relative_entropy(x, prior: TargetPrior, noise_power: float) -> float:
@@ -54,15 +92,7 @@ def relative_entropy(x, prior: TargetPrior, noise_power: float) -> float:
     with R1 the target-present covariance and mu the mean shift through
     the design. Zero waveform gives exactly zero.
     """
-    x = np.asarray(x, dtype=complex)
-    lift = lift_waveform(x, _n_rx(x, prior))
-    factor = hpd_factor(received_covariance(x, prior, noise_power))
-    dim = lift.shape[0]
-    shift = lift @ prior.h_d
-    quad = float(np.real(np.vdot(shift, factor.solve(shift))))
-    trace = float(np.real(np.trace(factor.solve(np.eye(dim)))))
-    return (factor.log_det() + quad + noise_power * trace
-            - dim * (1.0 + np.log(noise_power)))
+    return Expansion(x, prior, noise_power).objective
 
 
 @dataclass(frozen=True)
@@ -90,11 +120,9 @@ class DetectorSpec:
 
 def build_detector(x, prior: TargetPrior, noise_power: float) -> DetectorSpec:
     """Assemble the test statistic's fixed pieces for a given design."""
-    x = np.asarray(x, dtype=complex)
-    lift = lift_waveform(x, _n_rx(x, prior))
-    factor = hpd_factor(received_covariance(x, prior, noise_power))
-    return DetectorSpec(cov_factor=factor, lift=lift,
-                        mean_shift=lift @ prior.h_d, noise_power=noise_power)
+    expansion = Expansion(x, prior, noise_power)
+    return DetectorSpec(cov_factor=expansion.factor, lift=expansion.lift,
+                        mean_shift=expansion.shift, noise_power=noise_power)
 
 
 def _statistics(ys: np.ndarray, spec: DetectorSpec) -> np.ndarray:

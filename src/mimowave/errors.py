@@ -29,6 +29,15 @@ class NoRootError(WaveDesignError):
     """Secular-equation root finding exhausted its iteration budget."""
 
 
+class AscentError(WaveDesignError):
+    """The ascent loop saw the objective decrease, which a valid step cannot do."""
+
+    def __init__(self, iteration: int, previous: float, current: float):
+        super().__init__(f"objective decreased from {previous:.12g} to "
+                         f"{current:.12g} at iteration {iteration}")
+        self.iteration, self.previous, self.current = iteration, previous, current
+
+
 class InsufficientTrialsError(WaveDesignError):
     """Too few Monte Carlo trials to resolve the requested tail probability."""
 

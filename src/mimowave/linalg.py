@@ -2,10 +2,9 @@
 
 Contract-checked wrappers around numpy/scipy primitives: Kronecker and
 vectorization identities, Hermitian eigendecomposition, Cholesky-based
-positive-definite factorization, the PSD matrix square root, and the 0/1
-selection matrix relating vec(X) to vec(I ⊗ X) for block-replicated
-waveforms. Everything works on 2-D complex128 arrays and returns fresh
-arrays; inputs are never mutated.
+positive-definite factorization and the PSD matrix square root.
+Everything works on 2-D complex128 arrays and returns fresh arrays;
+inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -122,22 +121,3 @@ def psd_sqrt(a):
         raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} is negative beyond tolerance")
     root = (eig.eigenvectors * np.sqrt(np.clip(w, 0.0, None))) @ eig.eigenvectors.conj().T
     return (root + root.conj().T) / 2.0
-
-
-def selection_matrix(n_t, n_r, l):
-    """0/1 matrix B with vec(I_{n_r} x X) = B vec(X) for every l-by-n_t X.
-
-    Shape is (l * n_t * n_r**2, l * n_t). Each column marks the n_r
-    positions where one waveform entry reappears in the block-replicated
-    matrix; each row holds at most one 1.
-    """
-    if n_t < 1 or n_r < 1 or l < 1:
-        raise ValueError("all dimensions must be >= 1")
-    b = np.zeros((l * n_t * n_r * n_r, l * n_t))
-    c, t, r = np.meshgrid(np.arange(n_r), np.arange(n_t), np.arange(l), indexing="ij")
-    # entry X[r, t] sits at row c*l + r, column c*n_t + t of I x X, and
-    # column-major stacking sends that to (c*n_t + t) * (n_r*l) + (c*l + r)
-    rows = (c * n_t + t) * (n_r * l) + (c * l + r)
-    cols = t * l + r
-    b[rows.ravel(), cols.ravel()] = 1.0
-    return b

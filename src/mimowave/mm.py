@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import received_covariance, relative_entropy
-from .errors import NoRootError, ZeroResponseError
-from .linalg import herm_eig, hpd_factor, psd_sqrt, unvec, vec
+from .detection import Expansion
+from .errors import AscentError, NoRootError, ZeroResponseError
+from .linalg import herm_eig, unvec, vec
 from .model import Scenario, TargetPrior, lift_waveform, waveform_energy
 
 # multiplicative slack on the energy constraint and the ascent check
@@ -35,22 +35,15 @@ class MMConfig:
     max_iterations: int = 500
     trs_tolerance: float = 1e-10
     sigma2: float = 1.0
-    logdet_route: str = "schur"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("epsilon", "trs_tolerance", "sigma2"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iterations < 1:
             raise ValueError(
                 f"need at least one iteration, got {self.max_iterations}")
-        if self.trs_tolerance <= 0:
-            raise ValueError(
-                f"subproblem tolerance must be positive, got {self.trs_tolerance}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"noise power must be positive, got {self.sigma2}")
-        if self.logdet_route not in ("schur", "block"):
-            raise ValueError(
-                f"logdet_route must be 'schur' or 'block', got {self.logdet_route!r}")
 
 
 @dataclass(frozen=True)
@@ -107,103 +100,58 @@ def objective_terms(x, prior: TargetPrior, sigma2: float):
     objective is the first two plus sigma2 times the third, minus the
     X-independent constant dim (1 + log sigma2).
     """
-    x = np.asarray(x, dtype=complex)
-    factor = hpd_factor(received_covariance(x, prior, sigma2))
-    n_rx = prior.dim // x.shape[1]
-    lift = lift_waveform(x, n_rx)
-    shift = lift @ prior.h_d
-    dim = lift.shape[0]
-    quad = float(np.real(np.vdot(shift, factor.solve(shift))))
-    trace_inv = float(np.real(np.trace(factor.solve(np.eye(dim)))))
-    return factor.log_det(), quad, trace_inv
+    return Expansion(x, prior, sigma2).terms()
 
 
-def logdet_minorizer(x_k, prior: TargetPrior, sigma2: float,
-                     route: str = "schur"):
-    """Quadratic lower bound on log det R1, tight at x_k.
+def logdet_minorizer(expansion: Expansion):
+    """Quadratic lower bound on log det R1, tight at X_k = expansion.x.
 
     Returns (t12, t22, c1) so that the bound evaluates as
     c1 + 2 Re tr((I ⊗ X) R_H^{1/2} t12) + tr(t22 (I ⊗ X) R_H (I ⊗ X)^*).
-
-    The "schur" route uses the closed form of the pinned block-matrix
-    curvature; "block" forms and inverts the full bordered matrix. Both
-    must agree to rounding and are cross-checked in the tests.
     """
-    x_k = np.asarray(x_k, dtype=complex)
-    n_rx = prior.dim // x_k.shape[1]
-    lift = lift_waveform(x_k, n_rx)
-    root = psd_sqrt(prior.r_h)
-    v_mat = lift @ root
-    r1 = received_covariance(x_k, prior, sigma2)
-    factor = hpd_factor(r1)
-    dim_h = prior.dim
-    dim_y = r1.shape[0]
-
-    if route == "schur":
-        # Schur complement of R1 in the bordered matrix is exactly
-        # I - V^* R1^{-1} V, whose inverse collapses to I + V^* V / sigma2.
-        g = np.eye(dim_h) + (v_mat.conj().T @ v_mat) / sigma2
-        g = (g + g.conj().T) / 2.0
-        u_mat = factor.solve(v_mat)
-        t12 = g @ u_mat.conj().T
-        t22 = -u_mat @ g @ u_mat.conj().T
-        t22 = (t22 + t22.conj().T) / 2.0
-    elif route == "block":
-        bordered = np.zeros((dim_h + dim_y, dim_h + dim_y), dtype=complex)
-        bordered[:dim_h, :dim_h] = np.eye(dim_h)
-        bordered[:dim_h, dim_h:] = v_mat.conj().T
-        bordered[dim_h:, :dim_h] = v_mat
-        bordered[dim_h:, dim_h:] = r1
-        inv = np.linalg.inv(bordered)
-        pin = inv[:, :dim_h]  # C^{-1} E^T with E = [I 0]
-        core = np.linalg.inv(inv[:dim_h, :dim_h])
-        t_full = -pin @ core @ pin.conj().T
-        t12 = t_full[:dim_h, dim_h:]
-        t22 = t_full[dim_h:, dim_h:]
-        t22 = (t22 + t22.conj().T) / 2.0
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    sigma2 = expansion.sigma2
+    v_mat = expansion.lift @ expansion.prior.root
+    # Schur complement of R1 in the bordered matrix [[I, V^*], [V, R1]] is
+    # exactly I - V^* R1^{-1} V, whose inverse collapses to I + V^* V / sigma2
+    g = np.eye(expansion.prior.dim) + (v_mat.conj().T @ v_mat) / sigma2
+    g = (g + g.conj().T) / 2.0
+    u_mat = expansion.factor.solve(v_mat)
+    t12 = g @ u_mat.conj().T
+    t22 = -u_mat @ g @ u_mat.conj().T
+    t22 = (t22 + t22.conj().T) / 2.0
 
     # pin the constant so the bound touches the objective at x_k
     touch = (2.0 * np.real(np.trace(v_mat @ t12))
              + np.real(np.trace(t22 @ (v_mat @ v_mat.conj().T))))
-    c1 = factor.log_det() - touch
+    c1 = expansion.factor.log_det() - touch
     return t12, t22, float(c1)
 
 
-def mean_shift_minorizer(x_k, prior: TargetPrior, sigma2: float):
-    """Quadratic lower bound on the mean-shift term, tight at x_k.
+def mean_shift_minorizer(expansion: Expansion):
+    """Quadratic lower bound on the mean-shift term, tight at X_k = expansion.x.
 
     Returns (w, z, c2) for the bound
     c2 - tr(z (I ⊗ X) R_H (I ⊗ X)^*) + 2 Re tr((I ⊗ X)^* w).
     """
-    x_k = np.asarray(x_k, dtype=complex)
-    n_rx = prior.dim // x_k.shape[1]
-    lift = lift_waveform(x_k, n_rx)
-    factor = hpd_factor(received_covariance(x_k, prior, sigma2))
-    u = factor.solve(lift @ prior.h_d)
-    w = np.outer(u, prior.h_d.conj())
+    u = expansion.whitened_shift
+    w = np.outer(u, expansion.prior.h_d.conj())
     z = np.outer(u, u.conj())
-    c2 = -sigma2 * float(np.real(np.vdot(u, u)))
+    c2 = -expansion.sigma2 * float(np.real(np.vdot(u, u)))
     return w, z, c2
 
 
-def trace_inverse_minorizer(x_k, prior: TargetPrior, sigma2: float):
-    """Quadratic lower bound on tr(R1^{-1}), tight at x_k.
+def trace_inverse_minorizer(expansion: Expansion):
+    """Quadratic lower bound on tr(R1^{-1}), tight at X_k = expansion.x.
 
     Returns (inv_sq, c3) for the bound
     c3 - tr(inv_sq (I ⊗ X) R_H (I ⊗ X)^*), with inv_sq = R1_k^{-2}.
     """
-    x_k = np.asarray(x_k, dtype=complex)
-    factor = hpd_factor(received_covariance(x_k, prior, sigma2))
-    dim = prior.dim // x_k.shape[1] * x_k.shape[0]
-    inv = factor.solve(np.eye(dim))
+    inv = expansion.inv
     inv_sq = inv @ inv
     inv_sq = (inv_sq + inv_sq.conj().T) / 2.0
-    n_rx = prior.dim // x_k.shape[1]
-    lift = lift_waveform(x_k, n_rx)
-    c3 = float(np.real(np.trace(inv))
-               + np.real(np.trace(inv_sq @ (lift @ prior.r_h @ lift.conj().T))))
+    # tangency: c3 = tr(R1^{-1}) + tr(R1^{-2} (R1 - sigma2 I))
+    c3 = float(2.0 * np.real(np.trace(inv))
+               - expansion.sigma2 * np.real(np.trace(inv_sq)))
     return inv_sq, c3
 
 
@@ -226,16 +174,23 @@ class SurrogateCoefficients:
 
 
 def surrogate_coefficients(x_k, prior: TargetPrior, sigma2: float,
-                           logdet_route: str = "schur") -> SurrogateCoefficients:
-    """All three lower bounds around one expansion point."""
-    x_k = np.asarray(x_k, dtype=complex)
-    t12, t22, c1 = logdet_minorizer(x_k, prior, sigma2, route=logdet_route)
-    w, z, c2 = mean_shift_minorizer(x_k, prior, sigma2)
-    inv_sq, c3 = trace_inverse_minorizer(x_k, prior, sigma2)
+                           expansion: Expansion | None = None
+                           ) -> SurrogateCoefficients:
+    """All three lower bounds around one expansion point.
+
+    ``expansion`` is the :class:`Expansion` of ``x_k`` when the caller
+    already holds it; otherwise it is built here.
+    """
+    if expansion is None:
+        expansion = Expansion(x_k, prior, sigma2)
+    t12, t22, c1 = logdet_minorizer(expansion)
+    w, z, c2 = mean_shift_minorizer(expansion)
+    inv_sq, c3 = trace_inverse_minorizer(expansion)
+    l, n_t = expansion.x.shape
     return SurrogateCoefficients(
         t12=t12, t22=t22, w=w, z=z, inv_sq=inv_sq, c1=c1, c2=c2, c3=c3,
-        sigma2=sigma2, code_length=x_k.shape[0], n_tx=x_k.shape[1],
-        n_rx=prior.dim // x_k.shape[1])
+        sigma2=expansion.sigma2, code_length=l, n_tx=n_t,
+        n_rx=prior.dim // n_t)
 
 
 def minorizer_values(coeffs: SurrogateCoefficients, x,
@@ -243,9 +198,8 @@ def minorizer_values(coeffs: SurrogateCoefficients, x,
     """Evaluate each of the three lower bounds at an arbitrary design."""
     x = np.asarray(x, dtype=complex)
     lift = lift_waveform(x, coeffs.n_rx)
-    root = psd_sqrt(prior.r_h)
     spread = lift @ prior.r_h @ lift.conj().T
-    g1 = (coeffs.c1 + 2.0 * np.real(np.trace(lift @ root @ coeffs.t12))
+    g1 = (coeffs.c1 + 2.0 * np.real(np.trace(lift @ prior.root @ coeffs.t12))
           + np.real(np.trace(coeffs.t22 @ spread)))
     g2 = (coeffs.c2 - np.real(np.trace(coeffs.z @ spread))
           + 2.0 * np.real(np.trace(lift.conj().T @ coeffs.w)))
@@ -253,40 +207,30 @@ def minorizer_values(coeffs: SurrogateCoefficients, x,
     return float(g1), float(g2), float(g3)
 
 
-def assemble_quadratic(coeffs: SurrogateCoefficients, prior: TargetPrior,
-                       selection=None):
+def assemble_quadratic(coeffs: SurrogateCoefficients, prior: TargetPrior):
     """Collapse the surrogate onto vec(X): returns (m_mat, m_vec).
 
     The surrogate minus its constants equals x^* m_mat x + 2 Re(x^* m_vec)
-    with x = vec(X). When ``selection`` (the 0/1 replication matrix) is
-    given, the reduction goes through the explicit Kronecker sandwich;
-    otherwise an index-contracted route avoids forming the big product.
+    with x = vec(X). The reduction contracts indices directly instead of
+    forming the Kronecker sandwich with the 0/1 replication matrix.
     """
     l, n_t, n_r = coeffs.code_length, coeffs.n_tx, coeffs.n_rx
-    root = psd_sqrt(prior.r_h)
     q = coeffs.t22 - coeffs.z - coeffs.sigma2 * coeffs.inv_sq
-    p = coeffs.t12.conj().T @ root + coeffs.w
+    p = coeffs.t12.conj().T @ prior.root + coeffs.w
 
-    if selection is not None:
-        m_tilde = np.kron(prior.r_h.conj(), q)
-        m_mat = selection.conj().T @ m_tilde @ selection
-        m_vec = selection.conj().T @ vec(p)
-    else:
-        # channel indices are receive-major (c*n_t + t) and snapshot
-        # indices receive-block-major (c*l + r), so the reduced quadratic
-        # is M[(t,r),(t',r')] = sum_{c,c'} conj(R_H[(c,t),(c',t')])
-        # * Q[(c,r),(c',r')]; contract without materializing the kron.
-        rh4 = prior.r_h.reshape(n_r, n_t, n_r, n_t)
-        q4 = q.reshape(n_r, l, n_r, l)
-        m4 = np.einsum("abcd,aecf->bedf", rh4.conj(), q4)
-        m_mat = m4.reshape(n_t * l, n_t * l)
-        blocks = np.zeros((l, n_t), dtype=complex)
-        for c in range(n_r):
-            blocks += p[c * l:(c + 1) * l, c * n_t:(c + 1) * n_t]
-        m_vec = vec(blocks)
-
+    # channel indices are receive-major (c*n_t + t) and snapshot indices
+    # receive-block-major (c*l + r), so the reduced quadratic is
+    # M[(t,r),(t',r')] = sum_{c,c'} conj(R_H[(c,t),(c',t')])
+    # * Q[(c,r),(c',r')]; contract without materializing the kron.
+    rh4 = prior.r_h.reshape(n_r, n_t, n_r, n_t)
+    q4 = q.reshape(n_r, l, n_r, l)
+    m4 = np.einsum("abcd,aecf->bedf", rh4.conj(), q4)
+    m_mat = m4.reshape(n_t * l, n_t * l)
+    blocks = np.zeros((l, n_t), dtype=complex)
+    for c in range(n_r):
+        blocks += p[c * l:(c + 1) * l, c * n_t:(c + 1) * n_t]
     m_mat = (m_mat + m_mat.conj().T) / 2.0
-    return m_mat, m_vec
+    return m_mat, vec(blocks)
 
 
 def trs_solve(m_mat, m_vec, p_t: float, tol: float = 1e-10):
@@ -302,8 +246,8 @@ def trs_solve(m_mat, m_vec, p_t: float, tol: float = 1e-10):
     """
     m_mat = np.asarray(m_mat, dtype=complex)
     m_vec = np.asarray(m_vec, dtype=complex).reshape(-1)
-    if p_t <= 0:
-        raise ValueError(f"energy budget must be positive, got {p_t}")
+    if not 0 < p_t < np.inf:
+        raise ValueError(f"energy budget must be positive and finite, got {p_t}")
     eig = herm_eig(m_mat)
     lam = eig.eigenvalues
     u_mat = eig.eigenvectors
@@ -402,25 +346,28 @@ def optimize(scenario: Scenario, prior: TargetPrior,
         if waveform_energy(x) > scenario.energy_budget * (1.0 + ENERGY_SLACK):
             raise ValueError("initial design exceeds the energy budget")
 
-    objective = relative_entropy(x, prior, config.sigma2)
+    expansion = Expansion(x, prior, config.sigma2)
+    objective = expansion.objective
     iterates = [MMIterate(waveform=x, objective=objective, multiplier=0.0,
                           energy=waveform_energy(x))]
     converged = False
     used = 0
     for _ in range(config.max_iterations):
         coeffs = surrogate_coefficients(x, prior, config.sigma2,
-                                        logdet_route=config.logdet_route)
+                                        expansion=expansion)
         m_mat, m_vec = assemble_quadratic(coeffs, prior)
         x_vec, nu = trs_solve(m_mat, m_vec, scenario.energy_budget,
                               tol=config.trs_tolerance)
         x = unvec(x_vec, l, n_t)
         used += 1
-        new_objective = relative_entropy(x, prior, config.sigma2)
+        # release this surrogate before the next factorization, which keeps
+        # peak memory at one iterate's worth of snapshot-size matrices
+        del coeffs, m_mat, expansion
+        expansion = Expansion(x, prior, config.sigma2)
+        new_objective = expansion.objective
         slack = ASCENT_SLACK * max(1.0, abs(new_objective))
         if new_objective < objective - slack:
-            raise RuntimeError(
-                f"objective decreased from {objective:.12g} to "
-                f"{new_objective:.12g} at iteration {used}")
+            raise AscentError(used, objective, new_objective)
         iterates.append(MMIterate(waveform=x, objective=new_objective,
                                   multiplier=nu, energy=waveform_energy(x)))
         change = abs(new_objective - objective)

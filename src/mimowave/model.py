@@ -14,13 +14,17 @@ rank-one responses over a coarse angle grid).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import kron, psd_sqrt, unvec, vec
+from .linalg import HERMITIAN_RTOL, kron, psd_sqrt, unvec, vec
 
-HERMITIAN_RTOL = 1e-8
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_angle(name: str, value: float) -> None:
@@ -38,9 +42,7 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError(f"need at least one element, got {self.n_elements}")
-        if self.spacing_wavelengths <= 0:
-            raise ValueError(
-                f"spacing must be positive, got {self.spacing_wavelengths}")
+        _check_positive("spacing", self.spacing_wavelengths)
 
 
 @dataclass(frozen=True)
@@ -66,19 +68,14 @@ class Scenario:
     def __post_init__(self):
         if self.code_length < 1:
             raise ValueError(f"code length must be >= 1, got {self.code_length}")
-        if self.noise_power <= 0:
-            raise ValueError(f"noise power must be positive, got {self.noise_power}")
-        if self.energy_budget <= 0:
-            raise ValueError(
-                f"energy budget must be positive, got {self.energy_budget}")
+        _check_positive("noise power", self.noise_power)
+        _check_positive("energy budget", self.energy_budget)
         _check_angle("nominal_doa_deg", self.nominal_doa_deg)
         if len(self.uncertainty_angles_deg) == 0:
             raise ValueError("uncertainty grid must contain at least one angle")
         for angle in self.uncertainty_angles_deg:
             _check_angle("uncertainty angle", angle)
-        if self.uncertainty_power <= 0:
-            raise ValueError(
-                f"uncertainty power must be positive, got {self.uncertainty_power}")
+        _check_positive("uncertainty power", self.uncertainty_power)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in uint64, got {self.seed}")
 
@@ -119,6 +116,11 @@ class TargetPrior:
     @property
     def dim(self) -> int:
         return self.h_d.size
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Hermitian square root R_H^{1/2}, computed on first use."""
+        return psd_sqrt(self.r_h)
 
 
 def steering(geom: ArrayGeometry, theta_deg: float) -> np.ndarray:
@@ -188,11 +190,10 @@ def sample_target(prior: TargetPrior, rng: np.random.Generator, size=None):
     With ``size=None`` returns one vector of length ``prior.dim``; with an
     integer returns a (dim, size) array of independent draws.
     """
-    root = psd_sqrt(prior.r_h)
     n = 1 if size is None else int(size)
     g = (rng.standard_normal((prior.dim, n))
          + 1j * rng.standard_normal((prior.dim, n))) / np.sqrt(2.0)
-    draws = prior.h_d[:, None] + root @ g
+    draws = prior.h_d[:, None] + prior.root @ g
     return draws[:, 0] if size is None else draws
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mimowave import detection, model
 from mimowave.errors import InsufficientTrialsError, ThresholdMissingError
@@ -68,6 +70,22 @@ def test_relative_entropy_phase_invariant(tiny_scenario, tiny_prior):
         d = detection.relative_entropy(
             np.exp(1j * phase) * x, tiny_prior, tiny_scenario.noise_power)
         assert d == pytest.approx(d0, abs=1e-10)
+
+
+# the scene fixtures are read-only, so sharing them across examples is safe
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), energy=st.floats(0.01, 10.0))
+def test_relative_entropy_left_unitary_invariant(tiny_scenario, tiny_prior,
+                                                 seed, energy):
+    # D depends on X only through X^* X, so any L x L unitary Q leaves it
+    rng = np.random.default_rng(seed)
+    x = random_waveform(rng, 3, 2, energy)
+    q, _ = np.linalg.qr(random_complex(rng, (3, 3)))
+    s2 = tiny_scenario.noise_power
+    d0 = detection.relative_entropy(x, tiny_prior, s2)
+    d = detection.relative_entropy(q @ x, tiny_prior, s2)
+    assert d == pytest.approx(d0, rel=1e-10, abs=1e-10)
 
 
 def test_statistic_hand_case():

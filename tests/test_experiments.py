@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mimowave import cli, experiments
+from mimowave import cli, experiments, mm
 from mimowave.errors import ConfigError
 from mimowave.experiments import (
     ExperimentConfig,
@@ -195,6 +195,19 @@ def test_failed_point_leaves_nan_row(tmp_path):
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["points"][1]["status"] == "error"
     assert "energy" in manifest["points"][1]["error"]
+
+
+def test_ascent_error_leaves_nan_row(tmp_path, monkeypatch):
+    # a typed ascent failure inside the design loop fails its point only
+    monkeypatch.setattr(mm, "trs_solve",
+                        lambda m_mat, m_vec, p_t, tol: (np.zeros_like(m_vec), 0.0))
+    cfg = config_from_dict(small_config_dict(tmp_path, sweep=[0.5]))
+    outcome = run_experiment(cfg)
+    assert outcome.failures == 1
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    assert lines[1] == "0.5,nan,nan"
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["points"][0]["error"].startswith("AscentError")
 
 
 def test_pd_experiment_end_to_end(tmp_path):

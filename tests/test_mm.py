@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mimowave import detection, linalg, mm, model
-from mimowave.errors import ZeroResponseError
+from mimowave.errors import AscentError, ZeroResponseError
 
+import oracles
 from conftest import random_complex, random_hermitian, random_waveform
 
 
@@ -83,8 +84,9 @@ def test_logdet_routes_agree(tiny_scenario, tiny_prior):
     rng = np.random.default_rng(34)
     s2 = tiny_scenario.noise_power
     x_k = random_waveform(rng, 3, 2, tiny_scenario.energy_budget)
-    t12_s, t22_s, c1_s = mm.logdet_minorizer(x_k, tiny_prior, s2, route="schur")
-    t12_b, t22_b, c1_b = mm.logdet_minorizer(x_k, tiny_prior, s2, route="block")
+    t12_s, t22_s, c1_s = mm.logdet_minorizer(
+        detection.Expansion(x_k, tiny_prior, s2))
+    t12_b, t22_b, c1_b = oracles.block_logdet_minorizer(x_k, tiny_prior, s2)
     assert np.allclose(t12_s, t12_b, atol=1e-10)
     assert np.allclose(t22_s, t22_b, atol=1e-10)
     assert c1_s == pytest.approx(c1_b, abs=1e-10)
@@ -93,13 +95,13 @@ def test_logdet_routes_agree(tiny_scenario, tiny_prior):
 def test_minorizers_at_zero_expansion(tiny_scenario, tiny_prior):
     # at X_k = 0 the bounds collapse to known closed forms
     s2 = tiny_scenario.noise_power
-    x0 = np.zeros((3, 2), dtype=complex)
-    t12, t22, c1 = mm.logdet_minorizer(x0, tiny_prior, s2)
+    expansion = detection.Expansion(np.zeros((3, 2)), tiny_prior, s2)
+    t12, t22, c1 = mm.logdet_minorizer(expansion)
     assert np.allclose(t12, 0.0, atol=1e-14)
     assert np.allclose(t22, 0.0, atol=1e-14)
     dim = 6
     assert c1 == pytest.approx(dim * np.log(s2), abs=1e-12)
-    inv_sq, c3 = mm.trace_inverse_minorizer(x0, tiny_prior, s2)
+    inv_sq, c3 = mm.trace_inverse_minorizer(expansion)
     assert c3 == pytest.approx(dim / s2, abs=1e-12)
     assert np.allclose(inv_sq, np.eye(dim) / s2**2, atol=1e-14)
 
@@ -128,9 +130,8 @@ def test_assembly_routes_agree(tiny_scenario, tiny_prior):
     s2 = tiny_scenario.noise_power
     x_k = random_waveform(rng, 3, 2, tiny_scenario.energy_budget)
     coeffs = mm.surrogate_coefficients(x_k, tiny_prior, s2)
-    sel = linalg.selection_matrix(2, 2, 3)
     m_a, v_a = mm.assemble_quadratic(coeffs, tiny_prior)
-    m_b, v_b = mm.assemble_quadratic(coeffs, tiny_prior, selection=sel)
+    m_b, v_b = oracles.selection_assembly(coeffs, tiny_prior)
     assert np.allclose(m_a, m_b, atol=1e-12)
     assert np.allclose(v_a, v_b, atol=1e-12)
 
@@ -253,8 +254,9 @@ def test_trs_zero_linear_zero_matrix():
 
 
 def test_trs_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        mm.trs_solve(np.eye(2), np.ones(2), 0.0)
+    for p_t in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            mm.trs_solve(np.eye(2), np.ones(2), p_t)
 
 
 # ---------------------------------------------------------------- ascent
@@ -285,13 +287,41 @@ def test_optimize_improves_on_start(tiny_scenario, tiny_prior):
     assert trace.objective > trace.iterates[0].objective
 
 
-def test_optimize_routes_agree(tiny_scenario, tiny_prior):
+def test_optimize_factors_once_per_iterate(tiny_scenario, monkeypatch):
+    # one Cholesky factor of R1 per accepted iterate, the start included,
+    # and one R_H^{1/2} per prior
+    calls = {"hpd_factor": 0, "psd_sqrt": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (linalg, model, detection, mm):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    prior = model.build_prior(tiny_scenario)
+    trace = mm.optimize(tiny_scenario, prior)
+    assert trace.iterations_used >= 2
+    assert calls["hpd_factor"] == trace.iterations_used + 1
+    assert calls["psd_sqrt"] == 1
+
+
+def test_optimize_raises_typed_ascent_error(tiny_scenario, tiny_prior,
+                                            monkeypatch):
+    # a subproblem "solution" at the zero design drops the objective to 0
+    monkeypatch.setattr(mm, "trs_solve",
+                        lambda m_mat, m_vec, p_t, tol: (np.zeros_like(m_vec), 0.0))
     x0 = mm.random_init(tiny_scenario, np.random.default_rng(42))
-    t_schur = mm.optimize(tiny_scenario, tiny_prior, x0=x0,
-                          config=mm.MMConfig(sigma2=1.3, logdet_route="schur"))
-    t_block = mm.optimize(tiny_scenario, tiny_prior, x0=x0,
-                          config=mm.MMConfig(sigma2=1.3, logdet_route="block"))
-    assert t_schur.objective == pytest.approx(t_block.objective, abs=1e-8)
+    start = detection.relative_entropy(x0, tiny_prior, tiny_scenario.noise_power)
+    with pytest.raises(AscentError) as info:
+        mm.optimize(tiny_scenario, tiny_prior, x0=x0)
+    assert info.value.iteration == 1
+    assert info.value.previous == start
+    assert info.value.current == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimize_zero_start_is_fixed_point(tiny_scenario, tiny_prior):
@@ -318,9 +348,8 @@ def test_random_init_energy(tiny_scenario):
 
 
 def test_mm_config_validation():
-    with pytest.raises(ValueError):
-        mm.MMConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        mm.MMConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        mm.MMConfig(logdet_route="magic")
+    bad = [{"epsilon": 0.0}, {"max_iterations": 0}, {"epsilon": np.nan},
+           {"sigma2": np.nan}, {"trs_tolerance": np.inf}]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            mm.MMConfig(**kwargs)

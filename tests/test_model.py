@@ -139,6 +139,13 @@ def test_scenario_validation():
         model.Scenario(**{**_as_kwargs(ok), "uncertainty_angles_deg": ()})
     with pytest.raises(ValueError):
         model.Scenario(**{**_as_kwargs(ok), "seed": -1})
+    non_finite = [("noise_power", np.nan), ("energy_budget", np.nan),
+                  ("energy_budget", np.inf), ("uncertainty_power", np.nan)]
+    for field, value in non_finite:
+        with pytest.raises(ValueError, match="finite"):
+            model.Scenario(**{**_as_kwargs(ok), field: value})
+    with pytest.raises(ValueError, match="finite"):
+        ArrayGeometry(6, np.nan)
 
 
 def _as_kwargs(s: Scenario) -> dict:

@@ -91,8 +91,16 @@ def relative_entropy(x, prior: TargetPrior, noise_power: float) -> float:
     log det R1 + tr(R1^{-1}(mu mu^* + sigma^2 I)) - dim (1 + log sigma^2),
     with R1 the target-present covariance and mu the mean shift through
     the design. Zero waveform gives exactly zero.
+
+    Evaluated on the triangular factor C of the thin QR X = Q C, which
+    gives the same value: D depends on X only through X^* X = C^* C. Each
+    snapshot dimension outside the range of I ⊗ Q would add log sigma^2 to
+    log det R1 and 1 to sigma^2 tr(R1^{-1}), which the dim (1 + log
+    sigma^2) constant takes back. The cost then does not grow with the
+    code length.
     """
-    return Expansion(x, prior, noise_power).objective
+    x = np.asarray(x, dtype=complex)
+    return Expansion(np.linalg.qr(x, mode="r"), prior, noise_power).objective
 
 
 @dataclass(frozen=True)

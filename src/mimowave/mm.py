@@ -46,11 +46,10 @@ class MMConfig:
                 f"need at least one iteration, got {self.max_iterations}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MMIterate:
-    """One accepted step: the design, its objective, and diagnostics."""
+    """Diagnostics of one accepted step: objective, multiplier and energy."""
 
-    waveform: np.ndarray
     objective: float
     multiplier: float
     energy: float
@@ -58,15 +57,12 @@ class MMIterate:
 
 @dataclass(frozen=True)
 class MMTrace:
-    """Full ascent history plus convergence outcome."""
+    """Ascent history, convergence outcome and the final L x n_t design."""
 
     iterates: tuple
     converged: bool
     iterations_used: int
-
-    @property
-    def waveform(self) -> np.ndarray:
-        return self.iterates[-1].waveform
+    waveform: np.ndarray
 
     @property
     def objective(self) -> float:
@@ -332,6 +328,14 @@ def optimize(scenario: Scenario, prior: TargetPrior,
     ``config.epsilon`` or after ``config.max_iterations`` surrogate
     maximizations. The all-zero design is a stationary point of every
     surrogate, so the default start is a seeded random full-energy design.
+
+    The ascent runs on the k x n_t triangular factor C of the thin QR
+    X_0 = Q C, k = min(L, n_t), and returns Q C. This is exact: the
+    objective depends on X only through X^* X = C^* C, ||Q C||_F = ||C||_F,
+    and every surrogate maximizer keeps its columns in the span of the
+    current iterate (the surrogate is concave off that span and its linear
+    term lies in it), so the full-length iterates never leave span(Q). Each
+    iterate then costs the same whatever the code length L.
     """
     if config is None:
         config = MMConfig(sigma2=scenario.noise_power)
@@ -343,33 +347,36 @@ def optimize(scenario: Scenario, prior: TargetPrior,
         if x.shape != (l, n_t):
             raise ValueError(
                 f"initial design must be {l}x{n_t}, got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("initial design has non-finite entries")
         if waveform_energy(x) > scenario.energy_budget * (1.0 + ENERGY_SLACK):
             raise ValueError("initial design exceeds the energy budget")
 
-    expansion = Expansion(x, prior, config.sigma2)
+    q, c = np.linalg.qr(x)
+    expansion = Expansion(c, prior, config.sigma2)
     objective = expansion.objective
-    iterates = [MMIterate(waveform=x, objective=objective, multiplier=0.0,
-                          energy=waveform_energy(x))]
+    iterates = [MMIterate(objective=objective, multiplier=0.0,
+                          energy=waveform_energy(c))]
     converged = False
     used = 0
     for _ in range(config.max_iterations):
-        coeffs = surrogate_coefficients(x, prior, config.sigma2,
+        coeffs = surrogate_coefficients(c, prior, config.sigma2,
                                         expansion=expansion)
         m_mat, m_vec = assemble_quadratic(coeffs, prior)
-        x_vec, nu = trs_solve(m_mat, m_vec, scenario.energy_budget,
+        c_vec, nu = trs_solve(m_mat, m_vec, scenario.energy_budget,
                               tol=config.trs_tolerance)
-        x = unvec(x_vec, l, n_t)
+        c = unvec(c_vec, *c.shape)
         used += 1
         # release this surrogate before the next factorization, which keeps
-        # peak memory at one iterate's worth of snapshot-size matrices
+        # peak memory at one iterate's worth of surrogate matrices
         del coeffs, m_mat, expansion
-        expansion = Expansion(x, prior, config.sigma2)
+        expansion = Expansion(c, prior, config.sigma2)
         new_objective = expansion.objective
         slack = ASCENT_SLACK * max(1.0, abs(new_objective))
         if new_objective < objective - slack:
             raise AscentError(used, objective, new_objective)
-        iterates.append(MMIterate(waveform=x, objective=new_objective,
-                                  multiplier=nu, energy=waveform_energy(x)))
+        iterates.append(MMIterate(objective=new_objective, multiplier=nu,
+                                  energy=waveform_energy(c)))
         change = abs(new_objective - objective)
         if change / max(abs(new_objective), 1e-300) < config.epsilon:
             converged = True
@@ -377,4 +384,4 @@ def optimize(scenario: Scenario, prior: TargetPrior,
             break
         objective = new_objective
     return MMTrace(iterates=tuple(iterates), converged=converged,
-                   iterations_used=used)
+                   iterations_used=used, waveform=q @ c)

@@ -71,6 +71,9 @@ class Scenario:
         _check_positive("noise power", self.noise_power)
         _check_positive("energy budget", self.energy_budget)
         _check_angle("nominal_doa_deg", self.nominal_doa_deg)
+        if not np.isfinite(complex(self.nominal_amplitude)):
+            raise ValueError(
+                f"nominal amplitude must be finite, got {self.nominal_amplitude}")
         if len(self.uncertainty_angles_deg) == 0:
             raise ValueError("uncertainty grid must contain at least one angle")
         for angle in self.uncertainty_angles_deg:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mimowave.model import ArrayGeometry, Scenario
+from mimowave.model import ArrayGeometry, Scenario, build_prior, desk_scenario
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -58,3 +58,10 @@ def scalar_scenario():
         uncertainty_power=1.0,
         seed=7,
     )
+
+
+@pytest.fixture(scope="module")
+def desk_prior():
+    """Prior of the desk scene (4x4 arrays); it does not depend on the code
+    length or the energy budget, so property tests may share it."""
+    return build_prior(desk_scenario())

@@ -7,12 +7,17 @@ compare the two:
 - the log det lower bound, from the full bordered matrix and its inverse
   instead of the Schur-complement closed form;
 - the reduction of the surrogate onto vec(X), through the 0/1 replication
-  matrix and an explicit Kronecker sandwich instead of an einsum.
+  matrix and an explicit Kronecker sandwich instead of an einsum;
+- the divergence, from the explicitly built snapshot covariance instead of
+  the triangular factor of the design;
+- the MM ascent, with every iterate a full L x n_t design instead of its
+  n_t-column triangular factor.
 """
 
 import numpy as np
 
-from mimowave import detection, linalg, model
+from mimowave import detection, linalg, mm, model
+from mimowave.errors import AscentError
 
 
 def selection_matrix(n_t, n_r, l):
@@ -75,3 +80,65 @@ def selection_assembly(coeffs, prior):
     m_mat = sel.T @ np.kron(prior.r_h.conj(), q) @ sel
     m_mat = (m_mat + m_mat.conj().T) / 2.0
     return m_mat, sel.T @ linalg.vec(p)
+
+
+def explicit_divergence(x, prior, sigma2):
+    """D(X) = log det R1 + tr(R1^{-1}(mu mu^* + sigma^2 I)) - dim(1 + log sigma^2).
+
+    Built with ``np.kron``, ``slogdet`` and ``solve`` on the full
+    L n_r-dimensional snapshot covariance.
+    """
+    x = np.asarray(x, dtype=complex)
+    lift = np.kron(np.eye(prior.dim // x.shape[1]), x)
+    dim = lift.shape[0]
+    r1 = lift @ prior.r_h @ lift.conj().T + sigma2 * np.eye(dim)
+    mu = lift @ prior.h_d
+    _, logdet = np.linalg.slogdet(r1)
+    rhs = np.outer(mu, mu.conj()) + sigma2 * np.eye(dim)
+    trace = np.real(np.trace(np.linalg.solve(r1, rhs)))
+    return float(logdet + trace - dim * (1.0 + np.log(sigma2)))
+
+
+def full_space_optimize(scenario, prior, config=None, x0=None):
+    """The MM ascent with every iterate a full L x n_t design.
+
+    Same stopping rule and ascent check as :func:`mimowave.mm.optimize`,
+    but each expansion, surrogate and trust-region subproblem has the
+    code length L in its dimensions.
+    """
+    if config is None:
+        config = mm.MMConfig(sigma2=scenario.noise_power)
+    l, n_t = scenario.code_length, scenario.n_tx
+    if x0 is None:
+        x = mm.random_init(scenario, np.random.default_rng(scenario.seed))
+    else:
+        x = np.asarray(x0, dtype=complex)
+
+    expansion = detection.Expansion(x, prior, config.sigma2)
+    objective = expansion.objective
+    iterates = [mm.MMIterate(objective=objective, multiplier=0.0,
+                             energy=model.waveform_energy(x))]
+    converged = False
+    used = 0
+    for _ in range(config.max_iterations):
+        coeffs = mm.surrogate_coefficients(x, prior, config.sigma2,
+                                           expansion=expansion)
+        m_mat, m_vec = mm.assemble_quadratic(coeffs, prior)
+        x_vec, nu = mm.trs_solve(m_mat, m_vec, scenario.energy_budget,
+                                 tol=config.trs_tolerance)
+        x = linalg.unvec(x_vec, l, n_t)
+        used += 1
+        expansion = detection.Expansion(x, prior, config.sigma2)
+        new_objective = expansion.objective
+        slack = mm.ASCENT_SLACK * max(1.0, abs(new_objective))
+        if new_objective < objective - slack:
+            raise AscentError(used, objective, new_objective)
+        iterates.append(mm.MMIterate(objective=new_objective, multiplier=nu,
+                                     energy=model.waveform_energy(x)))
+        change = abs(new_objective - objective)
+        if change / max(abs(new_objective), 1e-300) < config.epsilon:
+            converged = True
+            break
+        objective = new_objective
+    return mm.MMTrace(iterates=tuple(iterates), converged=converged,
+                      iterations_used=used, waveform=x)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mimowave import detection, model
 from mimowave.errors import InsufficientTrialsError, ThresholdMissingError
 
+import oracles
 from conftest import random_complex, random_waveform
 
 LOG2 = 0.6931471805599453
@@ -86,6 +87,23 @@ def test_relative_entropy_left_unitary_invariant(tiny_scenario, tiny_prior,
     d0 = detection.relative_entropy(x, tiny_prior, s2)
     d = detection.relative_entropy(q @ x, tiny_prior, s2)
     assert d == pytest.approx(d0, rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 12),
+       rank=st.integers(0, 4), energy=st.floats(0.01, 10.0))
+def test_relative_entropy_matches_explicit_divergence(desk_prior, seed, length,
+                                                      rank, energy):
+    # the triangular-factor evaluation against the full snapshot covariance,
+    # for codes shorter than the array and rank-deficient (down to zero) X
+    rng = np.random.default_rng(seed)
+    rank = min(rank, length)
+    x = random_complex(rng, (length, rank)) @ random_complex(rng, (rank, 4))
+    if rank:
+        x *= np.sqrt(energy / model.waveform_energy(x))
+    d = detection.relative_entropy(x, desk_prior, 1.0)
+    expected = oracles.explicit_divergence(x, desk_prior, 1.0)
+    assert d == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_statistic_hand_case():

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimowave import detection, linalg, mm, model
 from mimowave.errors import AscentError, ZeroResponseError
@@ -338,6 +342,71 @@ def test_optimize_rejects_bad_start(tiny_scenario, tiny_prior):
     hot = np.full((3, 2), 10.0, dtype=complex)
     with pytest.raises(ValueError):
         mm.optimize(tiny_scenario, tiny_prior, x0=hot)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        x0 = np.zeros((3, 2), dtype=complex)
+        x0[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mm.optimize(tiny_scenario, tiny_prior, x0=x0)
+
+
+def _rank_one_desk_start():
+    scenario = model.desk_scenario(seed=3)
+    h = model.response_matrix(
+        [(scenario.nominal_amplitude, scenario.nominal_doa_deg)], scenario)
+    return scenario, mm.nominal_design(h, scenario.energy_budget,
+                                       scenario.code_length)
+
+
+def _short_code_start():
+    scenario = replace(model.default_scenario(seed=4), code_length=5)
+    x0 = random_waveform(np.random.default_rng(5), 5, scenario.n_tx,
+                         scenario.energy_budget)
+    return scenario, x0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (model.default_scenario(seed=1), None),
+    lambda: (model.default_scenario(seed=2), None),
+    lambda: (model.default_scenario(seed=3), None),
+    lambda: (replace(model.default_scenario(seed=7), code_length=64), None),
+    _rank_one_desk_start,
+    _short_code_start,
+], ids=["default-1", "default-2", "default-3", "long-code", "rank-one-desk",
+        "code-shorter-than-array"])
+def test_optimize_matches_full_space_loop(make):
+    # the ascent on the triangular factor retraces the full-length ascent
+    scenario, x0 = make()
+    prior = model.build_prior(scenario)
+    reduced = mm.optimize(scenario, prior, x0=x0)
+    full = oracles.full_space_optimize(scenario, prior, x0=x0)
+    assert reduced.iterations_used == full.iterations_used
+    assert reduced.converged == full.converged
+    assert reduced.objective == pytest.approx(full.objective, rel=1e-12)
+    assert reduced.waveform.shape == full.waveform.shape
+    assert np.linalg.norm(reduced.waveform - full.waveform) <= (
+        1e-9 * np.linalg.norm(full.waveform))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(0, 4),
+       energy=st.floats(0.01, 10.0))
+def test_surrogate_maximizer_stays_in_span(desk_prior, seed, rank, energy):
+    # the invariant the triangular-factor ascent rests on: the full-length
+    # surrogate maximizer keeps its columns in the span of the iterate's
+    scenario = model.desk_scenario(energy_budget=energy)
+    l, n_t = scenario.code_length, scenario.n_tx
+    rng = np.random.default_rng(seed)
+    x_k = random_complex(rng, (l, rank)) @ random_complex(rng, (rank, n_t))
+    if rank:
+        x_k *= np.sqrt(energy * rng.uniform(0.05, 1.0)
+                       / model.waveform_energy(x_k))
+    coeffs = mm.surrogate_coefficients(x_k, desk_prior, scenario.noise_power)
+    x_vec, _ = mm.trs_solve(*mm.assemble_quadratic(coeffs, desk_prior), energy)
+    x_next = linalg.unvec(x_vec, l, n_t)
+    u, sv, _ = np.linalg.svd(x_k)
+    q = u[:, :int(np.sum(sv > 1e-10 * sv[0]))]
+    outside = x_next - q @ (q.conj().T @ x_next)
+    assert np.linalg.norm(outside) <= 1e-9 * np.linalg.norm(x_next)
 
 
 def test_random_init_energy(tiny_scenario):

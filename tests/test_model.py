@@ -140,7 +140,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         model.Scenario(**{**_as_kwargs(ok), "seed": -1})
     non_finite = [("noise_power", np.nan), ("energy_budget", np.nan),
-                  ("energy_budget", np.inf), ("uncertainty_power", np.nan)]
+                  ("energy_budget", np.inf), ("uncertainty_power", np.nan),
+                  ("nominal_amplitude", np.nan), ("nominal_amplitude", np.inf),
+                  ("nominal_amplitude", complex(1.0, -np.inf))]
     for field, value in non_finite:
         with pytest.raises(ValueError, match="finite"):
             model.Scenario(**{**_as_kwargs(ok), field: value})
